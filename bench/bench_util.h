@@ -171,6 +171,25 @@ class ObsSession {
                      status.ToString().c_str());
       }
     }
+    // The report goes first: the trace file is written through the counted
+    // I/O layer, and its size (a function of timing) must not reach the
+    // exactly-gated io.bytes_written / io.flushes.
+    if (!path_.empty()) {
+      obs::RunReport report = obs::RunReport::Collect(obs::Registry::Global());
+      report.meta["tool"] = name_;
+      if (sampler_ != nullptr) sampler_->ExportTo(&report);
+      if (!profile_path_.empty()) {
+        report.meta["profile"] = profile_path_;
+        prof::ExportTo(prof_snapshot, &report);
+      }
+      Status status = report.WriteJsonFile(path_);
+      if (status.ok()) {
+        std::printf("metrics report written to %s\n", path_.c_str());
+      } else {
+        std::fprintf(stderr, "failed to write %s: %s\n", path_.c_str(),
+                     status.ToString().c_str());
+      }
+    }
     if (!trace_path_.empty()) {
       Status status = obs::WriteChromeTraceFile(trace_path_);
       if (status.ok()) {
@@ -179,21 +198,6 @@ class ObsSession {
         std::fprintf(stderr, "failed to write %s: %s\n", trace_path_.c_str(),
                      status.ToString().c_str());
       }
-    }
-    if (path_.empty()) return;
-    obs::RunReport report = obs::RunReport::Collect(obs::Registry::Global());
-    report.meta["tool"] = name_;
-    if (sampler_ != nullptr) sampler_->ExportTo(&report);
-    if (!profile_path_.empty()) {
-      report.meta["profile"] = profile_path_;
-      prof::ExportTo(prof_snapshot, &report);
-    }
-    Status status = report.WriteJsonFile(path_);
-    if (status.ok()) {
-      std::printf("metrics report written to %s\n", path_.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s: %s\n", path_.c_str(),
-                   status.ToString().c_str());
     }
   }
 

@@ -1,11 +1,8 @@
 #include "cluster/trilliong_cluster.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "core/avs_generator.h"
-#include "core/scheduler.h"
 #include "model/noise.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -22,17 +19,6 @@ struct Bin {
   double mass = 0.0;
 };
 
-model::NoiseVector MakeNoise(const core::TrillionGConfig& config) {
-  model::SeedMatrix seed = config.direction == core::Direction::kOut
-                               ? config.seed
-                               : config.seed.Transposed();
-  if (config.noise <= 0.0) {
-    return model::NoiseVector(seed, config.scale);
-  }
-  rng::Rng noise_rng(config.rng_seed, /*stream=*/0xA015E1ULL);
-  return model::NoiseVector(seed, config.scale, config.noise, &noise_rng);
-}
-
 }  // namespace
 
 ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
@@ -41,7 +27,7 @@ ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
   const int workers = cluster->num_workers();
   const VertexId num_vertices = config.NumVertices();
   const std::uint64_t num_edges = config.NumEdges();
-  const model::NoiseVector noise = MakeNoise(config);
+  const model::NoiseVector noise = core::MakeRunNoise(config);
   const int scale = config.scale;
 
   ClusterGenerateStats stats;
@@ -129,94 +115,24 @@ ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
   stats.gather_scatter_seconds += cluster->network().ChargeTransfer(
       static_cast<std::uint64_t>(workers) * sizeof(VertexId), workers - 1);
 
-  // Generation runs on the work-stealing engine, with stealing confined to
-  // each simulated machine: the threads of one machine share memory, so a
-  // thief can pick up a machine-mate's chunk, but chunks never migrate
-  // across the (simulated) wire. Scope RNG streams are forked per vertex,
-  // so the stolen schedule produces bit-identical output.
-  const rng::Rng root(config.rng_seed, /*stream=*/1);
-  std::vector<core::AvsWorkerStats> worker_stats(workers);
-  const int chunks_per_worker = std::max(config.chunks_per_worker, 1);
-  const std::vector<std::vector<core::Chunk>> queues =
-      core::BuildChunkQueues(noise, boundaries, chunks_per_worker);
-
-  std::vector<std::unique_ptr<core::ScopeSink>> sinks;
-  std::vector<core::ScopeSink*> sink_ptrs;
-  sinks.reserve(workers);
-  sink_ptrs.reserve(workers);
+  // Generation runs on core's run loop with stealing confined to each
+  // simulated machine: the threads of one machine share memory, so a thief
+  // can pick up a machine-mate's chunk, but chunks never migrate across the
+  // (simulated) wire. Scope RNG streams are forked per vertex, so the
+  // stolen schedule produces bit-identical output.
+  core::RunTopology topology;
+  topology.budgets.resize(cluster->num_machines());
+  for (int m = 0; m < cluster->num_machines(); ++m) {
+    topology.budgets[m] = cluster->machine_budget(m);
+  }
   for (int w = 0; w < workers; ++w) {
-    sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
-    TG_CHECK(sinks.back() != nullptr);
-    sink_ptrs.push_back(sinks.back().get());
+    topology.steal_domain.push_back(cluster->MachineOfWorker(w));
   }
-
-  core::SchedulerOptions sched_options;
-  sched_options.steal_domain.resize(workers);
-  sched_options.machine_tags.resize(workers);
-  for (int w = 0; w < workers; ++w) {
-    sched_options.steal_domain[w] = cluster->MachineOfWorker(w);
-    sched_options.machine_tags[w] = cluster->MachineOfWorker(w);
-  }
-
-  // Fault injection: an explicit injector on the config wins, then one
-  // attached to the cluster, then the TG_FAULT_PLAN environment hook. A
-  // machine that crashes mid-generation stops taking chunks, its queued
-  // chunks migrate to surviving machines through the scheduler's recovery
-  // queue, and — scope streams being forked per vertex — the output stays
-  // bit-identical to the fault-free run.
-  std::unique_ptr<fault::FaultInjector> env_injector;
-  fault::FaultInjector* injector = config.fault_injector != nullptr
-                                       ? config.fault_injector
-                                       : cluster->fault_injector();
-  if (injector == nullptr) {
-    env_injector =
-        fault::FaultInjector::FromEnvOrNull(cluster->num_machines());
-    injector = env_injector.get();
-  }
-  sched_options.fault_injector = injector;
-  sched_options.resume_next_seq = config.resume_next_seq;
-  sched_options.on_chunk_commit = config.chunk_commit_hook;
-
-  obs::SetCurrentPhase("generate");
-  auto run_generation = [&]<typename Real>() {
-    auto make_worker = [&](int w) -> core::ChunkFn {
-      auto generator = std::make_shared<core::AvsRangeGenerator<Real>>(
-          &noise, num_edges, config.determiner, cluster->worker_budget(w),
-          config.exclude_self_loops);
-      auto scratch = std::make_shared<core::ScopeScratch<Real>>();
-      core::AvsWorkerStats* stats_slot = &worker_stats[w];
-      return [generator, scratch, stats_slot, &root](
-                 const core::Chunk& c, core::ChunkBuffer* buffer) {
-        generator->GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
-                                 buffer);
-      };
-    };
-    return core::RunWorkStealing(queues, sink_ptrs, make_worker,
-                                 sched_options);
-  };
-  const core::SchedulerStats sched =
-      config.precision == core::Precision::kDoubleDouble
-          ? run_generation.template operator()<numeric::DoubleDouble>()
-          : run_generation.template operator()<double>();
-  stats.generate.max_worker_cpu_seconds = sched.max_worker_cpu_seconds;
-  stats.generate.sched_chunks = sched.num_chunks;
-  stats.generate.sched_steals = sched.num_steals;
-  stats.generate.sched_recovered = sched.num_recovered;
-  stats.generate.sched_imbalance = sched.imbalance;
-
-  core::AvsWorkerStats merged;
-  for (const core::AvsWorkerStats& s : worker_stats) merged.MergeFrom(s);
-  stats.generate.num_edges = merged.num_edges;
-  stats.generate.num_scopes = merged.num_scopes;
-  stats.generate.max_degree = merged.max_degree;
-  stats.generate.peak_scope_bytes = merged.peak_scope_bytes;
-  stats.generate.rec_vec_builds = merged.rec_vec_builds;
-  stats.generate.cdf_evaluations = merged.cdf_evaluations;
+  topology.default_injector = cluster->fault_injector();
+  stats.generate =
+      core::RunGeneration(config, noise, boundaries, topology, sink_factory);
   stats.peak_machine_bytes = cluster->MaxMachinePeakBytes();
-  core::RecordAvsStats(merged);
-  obs::GetGauge("avs.recvec_levels")->Set(static_cast<double>(scale));
   cluster->RecordMachineStats();
-  obs::SetCurrentPhase("idle");
   return stats;
 }
 

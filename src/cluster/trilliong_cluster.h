@@ -14,7 +14,7 @@ namespace tg::cluster {
 ///                 simulated wire; the paper notes this traffic is tiny);
 ///   3. repartition — the master re-cuts bin boundaries to equal mass;
 ///   4. scatter  — boundaries travel back and every worker generates its
-///                 ranges with the recursive vector model.
+///                 ranges through core::RunGeneration.
 /// Unlike the in-process core::Generate (which uses the closed-form CDF
 /// partitioner), this driver exercises the protocol the paper describes,
 /// charges per-machine memory budgets, and reports simulated phase times.
@@ -33,10 +33,11 @@ struct ClusterGenerateStats {
   }
 };
 
-/// Runs TrillionG across the cluster. `config.num_workers` is ignored — the
-/// cluster's worker count is used; `config.budget` is ignored in favor of
-/// the per-machine budgets. Output is identical to core::Generate with the
-/// same seed (scope RNG streams are partition-independent).
+/// Runs TrillionG across the cluster, whose worker count and per-machine
+/// budgets replace `config.num_workers` and `config.budget`; every other
+/// field means what it does for core::Generate. Output is identical to
+/// core::Generate with the same seed (scope RNG streams are
+/// partition-independent).
 ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
                                        const core::TrillionGConfig& config,
                                        const core::SinkFactory& sink_factory);

@@ -64,7 +64,7 @@ struct AvsWorkerStats {
 
 /// Folds a merged per-run AvsWorkerStats into the global obs registry under
 /// the canonical `avs.*` metric names (docs/OBSERVABILITY.md). Called once
-/// per run by the in-process and cluster drivers.
+/// per run by the generation loop (core::RunGeneration).
 inline void RecordAvsStats(const AvsWorkerStats& merged) {
   obs::GetCounter("avs.edges_generated")->Add(merged.num_edges);
   obs::GetCounter("avs.scopes_generated")->Add(merged.num_scopes);
@@ -142,13 +142,7 @@ class AvsRangeGenerator {
         // aggregate (RecordAvsStats), keeping both exact.
         live_edges_(obs::Enabled() ? obs::GetCounter("progress.edges")
                                    : nullptr) {
-    // The table kernel requires plain-double arithmetic and all three of
-    // Section 4.3's ideas: any ablation combination (Figure 13) and the
-    // DoubleDouble precision keep the descent kernel, whose cost model the
-    // ablations measure.
-    use_tables_ = kRealIsDouble && opts_.use_prefix_tables &&
-                  opts_.reuse_rec_vec && opts_.reduce_recursions &&
-                  opts_.reuse_random_value;
+    use_tables_ = UsesPrefixTables(opts_);
     if (use_tables_) {
       if (shared_tables != nullptr) {
         tables_view_ = shared_tables;
@@ -161,6 +155,14 @@ class AvsRangeGenerator {
         tables_view_ = &tables_;
       }
     }
+  }
+
+  /// True when a generator built with `opts` runs the table kernel: plain
+  /// double and all three of Section 4.3's ideas. Ablations (Figure 13) and
+  /// DoubleDouble keep the descent kernel, whose cost model they measure.
+  static bool UsesPrefixTables(const DeterminerOptions& opts) {
+    return kRealIsDouble && opts.use_prefix_tables && opts.reuse_rec_vec &&
+           opts.reduce_recursions && opts.reuse_random_value;
   }
 
   /// Runs Algorithm 4 over scopes [lo, hi). `root` is the graph-level RNG

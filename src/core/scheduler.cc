@@ -98,8 +98,6 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
   TG_CHECK(num_workers >= 1);
   TG_CHECK(options.steal_domain.empty() ||
            static_cast<int>(options.steal_domain.size()) == num_workers);
-  TG_CHECK(options.machine_tags.empty() ||
-           static_cast<int>(options.machine_tags.size()) == num_workers);
 
   TG_CHECK(options.resume_next_seq.empty() ||
            static_cast<int>(options.resume_next_seq.size()) == num_ranges);
@@ -161,6 +159,9 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
   auto domain_of = [&](int w) {
     return options.steal_domain.empty() ? 0 : options.steal_domain[w];
   };
+  auto machine_of = [&](int w) {
+    return options.steal_domain.empty() ? w : options.steal_domain[w];
+  };
 
   auto try_pop_own = [&](int w, Chunk* out) {
     WorkerDeque& wd = deques[w];
@@ -195,9 +196,21 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
     }
   };
 
+  // The sink chunk `c` may stream to while it runs: its range's sink when
+  // `c` is the next chunk in vertex order, else null (buffer it). Only the
+  // chunk at next_seq is ever delivered and only its commit advances
+  // next_seq, so the sink has no other writer until `c` commits; the range
+  // mutex orders the previous writer's work before this one's.
+  auto stream_target = [&](const Chunk& c) -> ScopeSink* {
+    RangeCommit& rc = ranges[c.range];
+    std::lock_guard<std::mutex> lock(rc.mu);
+    return c.seq == rc.next_seq ? rc.sink : nullptr;
+  };
+
   // Flushes `buf` to its range's sink if it is the next chunk in vertex
-  // order, else parks it; then drains any parked successors. The range
-  // mutex doubles as the serializer for the (not thread-safe) sink.
+  // order (a no-op when it streamed there), else parks it; then drains any
+  // parked successors. The range mutex doubles as the serializer for the
+  // (not thread-safe) sink.
   auto commit = [&](const Chunk& c, ChunkBuffer* buf) {
     RangeCommit& rc = ranges[c.range];
     std::lock_guard<std::mutex> lock(rc.mu);
@@ -242,8 +255,7 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
   };
 
   auto worker_body = [&](int w) {
-    const int machine =
-        options.machine_tags.empty() ? w : options.machine_tags[w];
+    const int machine = machine_of(w);
     obs::ScopedMachine machine_tag(machine);
     prof::EnsureThreadRegistered(w);
     TG_SPAN("avs.generate");
@@ -313,7 +325,7 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
         {
           TG_SPAN(recovered ? "fault.recover" : "sched.chunk");
           Stopwatch chunk_timer;
-          local.Clear();
+          local.Clear(stream_target(c));
           fn(c, &local);
           if (faulty) chunk_wall = chunk_timer.ElapsedSeconds();
         }
@@ -372,9 +384,7 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
   for (int w = 0; w < num_workers; ++w) {
     const double tail = last_exit - exit_wall[w];
     if (tail <= 0.0) continue;
-    prof::RecordStall("idle", tail,
-                      options.machine_tags.empty() ? w
-                                                   : options.machine_tags[w]);
+    prof::RecordStall("idle", tail, machine_of(w));
   }
 
   if (first_error) std::rethrow_exception(first_error);

@@ -8,10 +8,10 @@
 // generates a scope cannot change WHAT is generated. This engine exploits
 // that: each CDF-partitioned range is split into `chunks_per_worker` chunks
 // of equal expected mass, chunks start on their owner's deque, and idle
-// workers steal from the tail of the fullest deque. Generated chunks are
-// buffered and committed to the owning range's sink strictly in chunk order,
-// so every ScopeSink still observes its scopes in increasing vertex order —
-// the output is bit-identical for any worker count and any chunking.
+// workers steal from the tail of the fullest deque. Chunks reach the owning
+// range's sink strictly in chunk order (see ChunkBuffer), so every ScopeSink
+// still observes its scopes in increasing vertex order — the output is
+// bit-identical for any worker count and any chunking.
 #ifndef TRILLIONG_CORE_SCHEDULER_H_
 #define TRILLIONG_CORE_SCHEDULER_H_
 
@@ -46,21 +46,27 @@ struct Chunk {
   VertexId hi = 0;
 };
 
-/// Buffered output of one generated chunk: scope-packed adjacency. A worker
-/// generates into the buffer, then the commit protocol flushes it to the
-/// owner range's (single-threaded) sink once every earlier chunk of that
-/// range has been flushed. Capacity persists across Clear(), so the
-/// in-order common case recycles one buffer per worker.
+/// Output of one generated chunk. A chunk that is next in its range's commit
+/// order when it starts passes straight through to the range's sink; any
+/// other is buffered as scope-packed adjacency (not charged to any
+/// MemoryBudget) until the commit protocol flushes it after its
+/// predecessors. Capacity persists across Clear().
 class ChunkBuffer : public ScopeSink {
  public:
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override {
+    if (direct_ != nullptr) {
+      direct_->ConsumeScope(u, adj, n);
+      return;
+    }
     scopes_.push_back({u, adj_.size(), n});
     adj_.insert(adj_.end(), adj, adj + n);
   }
 
-  void Clear() {
+  /// Empties the buffer; with `direct` set, scopes pass through to it.
+  void Clear(ScopeSink* direct = nullptr) {
     adj_.clear();
     scopes_.clear();
+    direct_ = direct;
   }
 
   /// Replays the buffered scopes, in order, into `sink`.
@@ -81,19 +87,17 @@ class ChunkBuffer : public ScopeSink {
   };
   std::vector<VertexId> adj_;
   std::vector<ScopeRef> scopes_;
+  ScopeSink* direct_ = nullptr;
 };
 
 /// Scheduling policy knobs.
 struct SchedulerOptions {
   /// Steal domain of each worker; a worker only steals from deques in its
-  /// own domain. Empty means one shared domain (the in-process driver). The
-  /// cluster driver maps each simulated machine to its own domain — threads
-  /// of one machine share memory, machines do not.
+  /// own domain, which is also its simulated machine. Empty means one shared
+  /// domain with worker w as machine w (the in-process driver). The cluster
+  /// driver maps each simulated machine to its own domain — threads of one
+  /// machine share memory, machines do not.
   std::vector<int> steal_domain;
-  /// Simulated-machine tag installed on each worker thread (obs span and
-  /// per-machine stat attribution). Empty means tag worker w as machine w,
-  /// matching the in-process driver's convention.
-  std::vector<int> machine_tags;
 
   /// Fault injector consulted at every chunk boundary (see fault/*). When
   /// set and armed, workers whose simulated machine crashes drain their
@@ -128,7 +132,9 @@ struct SchedulerOptions {
   /// bounded set of threads. Contract: each body must run exactly once and
   /// the call must not return before all bodies have; order and real
   /// parallelism are free — any single worker drains all remaining chunks
-  /// by stealing, so even sequential execution completes the run.
+  /// by stealing, so even sequential execution completes the run — except
+  /// with a fault injector armed and several steal domains, where a worker
+  /// waits for other domains' chunks.
   std::function<void(std::vector<std::function<void()>>& bodies)>
       worker_runner;
 };

@@ -1,11 +1,14 @@
 #include "core/trilliong.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/avs_generator.h"
 #include "core/partitioner.h"
+#include "core/prefix_tables.h"
 #include "core/scheduler.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
@@ -32,105 +35,110 @@ namespace {
 
 template <typename Real>
 GenerateStats RunTyped(const TrillionGConfig& config,
+                       const model::NoiseVector& noise,
+                       const std::vector<VertexId>& boundaries,
+                       const RunTopology& topology,
                        const SinkFactory& sink_factory) {
-  TG_CHECK(config.num_workers >= 1);
+  const int num_workers = static_cast<int>(boundaries.size()) - 1;
+  TG_CHECK(num_workers >= 1);
+  // A worker's steal domain is also its machine and its budget's index;
+  // with no domains, worker w is machine w (the in-process convention).
+  const std::vector<int>& domain = topology.steal_domain;
+  auto machine_of = [&](int w) { return domain.empty() ? w : domain[w]; };
+
   GenerateStats stats;
   Stopwatch watch;
-
-  const model::NoiseVector noise = MakeRunNoise(config);
-  obs::SetCurrentPhase("partition");
-  const std::vector<VertexId> boundaries = [&]() -> std::vector<VertexId> {
-    if (!config.precomputed_boundaries.empty()) {
-      TG_CHECK_MSG(static_cast<int>(config.precomputed_boundaries.size()) ==
-                       config.num_workers + 1,
-                   "precomputed_boundaries must hold num_workers + 1 entries");
-      return config.precomputed_boundaries;
-    }
-    TG_SPAN("partition");
-    return PartitionByCdf(noise, config.num_workers);
-  }();
-  stats.partition_seconds = watch.ElapsedSeconds();
-
-  watch.Restart();
   obs::SetCurrentPhase("generate");
   TG_SPAN("generate");
-  const rng::Rng root(config.rng_seed, /*stream=*/1);
-  AvsRangeGenerator<Real> generator(&noise, config.NumEdges(),
-                                    config.determiner, config.budget,
-                                    config.exclude_self_loops,
-                                    config.shared_prefix_tables);
 
-  std::vector<AvsWorkerStats> worker_stats(config.num_workers);
-  std::vector<double> worker_cpu(config.num_workers, 0.0);
-
-  // Fault injection, resume, and the commit journal all live in the
-  // scheduler's chunk protocol, so any of them forces the scheduler path
-  // even for a single worker.
-  const bool needs_scheduler =
-      (config.fault_injector != nullptr && config.fault_injector->armed()) ||
-      config.chunk_commit_hook != nullptr || !config.resume_next_seq.empty() ||
-      config.cancel_flag != nullptr || config.worker_runner != nullptr;
-
-  if (config.num_workers == 1 && !needs_scheduler) {
-    // Single worker: no scheduling to do — run directly on the calling
-    // thread (GenerateToSink relies on this) with the same per-worker
-    // scratch reuse the scheduler path gets.
-    obs::ScopedMachine machine_tag(0);
-    TG_SPAN("avs.generate");
+  // Prefix tables: built at most once per run and shared by every worker.
+  // Each domain's budget is charged one copy and, as every machine would
+  // build its own, max_worker_cpu_seconds one build. Caller-supplied tables
+  // are the caller's to account for.
+  const AvsPrefixTables* tables = config.shared_prefix_tables;
+  std::optional<AvsPrefixTables> own_tables;
+  std::deque<ScopedAllocation> table_charges;
+  double table_build_cpu = 0.0;
+  if (tables == nullptr &&
+      AvsRangeGenerator<Real>::UsesPrefixTables(config.determiner)) {
     const double cpu_start = ThreadCpuSeconds();
-    std::unique_ptr<ScopeSink> sink =
-        sink_factory(0, boundaries[0], boundaries[1]);
-    TG_CHECK(sink != nullptr);
-    ScopeScratch<Real> scratch;
-    generator.GenerateRange(boundaries[0], boundaries[1], root, &scratch,
-                            &worker_stats[0], sink.get());
-    sink->Finish();
-    worker_cpu[0] = ThreadCpuSeconds() - cpu_start;
-  } else {
-    // Work-stealing path: split each worker's range into chunks of equal
-    // expected mass; per-scope RNG forking makes the output bit-identical
-    // to the static schedule no matter which thread runs which chunk.
-    const int chunks_per_worker = std::max(config.chunks_per_worker, 1);
-    const std::vector<std::vector<Chunk>> queues =
-        BuildChunkQueues(noise, boundaries, chunks_per_worker);
-
-    std::vector<std::unique_ptr<ScopeSink>> sinks;
-    std::vector<ScopeSink*> sink_ptrs;
-    sinks.reserve(config.num_workers);
-    sink_ptrs.reserve(config.num_workers);
-    for (int w = 0; w < config.num_workers; ++w) {
-      sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
-      TG_CHECK(sinks.back() != nullptr);
-      sink_ptrs.push_back(sinks.back().get());
+    tables = &own_tables.emplace(noise);
+    table_build_cpu = ThreadCpuSeconds() - cpu_start;
+    for (MemoryBudget* budget : topology.budgets) {
+      table_charges.emplace_back(budget, tables->MemoryBytes(),
+                                 "core.prefix_tables");
     }
-
-    auto make_worker = [&](int w) -> ChunkFn {
-      // shared_ptr because ChunkFn (std::function) must be copyable; the
-      // scratch itself is only ever touched by worker w's thread.
-      auto scratch = std::make_shared<ScopeScratch<Real>>();
-      AvsWorkerStats* stats_slot = &worker_stats[w];
-      return [&generator, &root, scratch, stats_slot](const Chunk& c,
-                                                      ChunkBuffer* buffer) {
-        generator.GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
-                                buffer);
-      };
-    };
-
-    SchedulerOptions sched_options;
-    sched_options.fault_injector = config.fault_injector;
-    sched_options.resume_next_seq = config.resume_next_seq;
-    sched_options.on_chunk_commit = config.chunk_commit_hook;
-    sched_options.cancel = config.cancel_flag;
-    sched_options.worker_runner = config.worker_runner;
-    const SchedulerStats sched =
-        RunWorkStealing(queues, sink_ptrs, make_worker, sched_options);
-    worker_cpu = sched.worker_cpu_seconds;
-    stats.sched_chunks = sched.num_chunks;
-    stats.sched_steals = sched.num_steals;
-    stats.sched_recovered = sched.num_recovered;
-    stats.sched_imbalance = sched.imbalance;
-    stats.cancelled = sched.cancelled;
   }
+  // One read-only generator per domain, charging the domain's budget.
+  std::deque<AvsRangeGenerator<Real>> generators;
+  for (MemoryBudget* budget : topology.budgets) {
+    generators.emplace_back(&noise, config.NumEdges(), config.determiner,
+                            budget, config.exclude_self_loops, tables);
+  }
+
+  std::vector<std::unique_ptr<ScopeSink>> sinks;
+  std::vector<ScopeSink*> sink_ptrs;
+  sinks.reserve(num_workers);
+  sink_ptrs.reserve(num_workers);
+  for (int w = 0; w < num_workers; ++w) {
+    sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
+    TG_CHECK(sinks.back() != nullptr);
+    sink_ptrs.push_back(sinks.back().get());
+  }
+
+  // Split each worker's range into chunks of equal expected mass; per-scope
+  // RNG forking makes the output bit-identical to the static schedule no
+  // matter which thread runs which chunk.
+  const std::vector<std::vector<Chunk>> queues = BuildChunkQueues(
+      noise, boundaries, std::max(config.chunks_per_worker, 1));
+
+  const rng::Rng root(config.rng_seed, /*stream=*/1);
+  std::vector<AvsWorkerStats> worker_stats(num_workers);
+  auto make_worker = [&](int w) -> ChunkFn {
+    const AvsRangeGenerator<Real>* generator =
+        &generators.at(domain.empty() ? 0 : domain[w]);
+    // shared_ptr because ChunkFn (std::function) must be copyable; the
+    // scratch itself is only ever touched by worker w's thread.
+    auto scratch = std::make_shared<ScopeScratch<Real>>();
+    AvsWorkerStats* stats_slot = &worker_stats[w];
+    return [generator, &root, scratch, stats_slot](const Chunk& c,
+                                                   ChunkBuffer* buffer) {
+      generator->GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
+                               buffer);
+    };
+  };
+
+  // A machine that crashes mid-generation stops taking chunks, its queued
+  // chunks migrate to surviving machines through the scheduler's recovery
+  // queue, and — scope streams being forked per vertex — the output stays
+  // bit-identical to the fault-free run.
+  std::unique_ptr<fault::FaultInjector> env_injector;
+  fault::FaultInjector* injector = config.fault_injector != nullptr
+                                       ? config.fault_injector
+                                       : topology.default_injector;
+  if (injector == nullptr) {
+    env_injector = fault::FaultInjector::FromEnvOrNull(
+        domain.empty() ? num_workers
+                       : static_cast<int>(topology.budgets.size()));
+    injector = env_injector.get();
+  }
+
+  SchedulerOptions sched_options;
+  sched_options.steal_domain = domain;
+  sched_options.fault_injector = injector;
+  sched_options.resume_next_seq = config.resume_next_seq;
+  sched_options.on_chunk_commit = config.chunk_commit_hook;
+  sched_options.cancel = config.cancel_flag;
+  sched_options.worker_runner = config.worker_runner;
+  const SchedulerStats sched =
+      RunWorkStealing(queues, sink_ptrs, make_worker, sched_options);
+  stats.sched_chunks = sched.num_chunks;
+  stats.sched_steals = sched.num_steals;
+  stats.sched_recovered = sched.num_recovered;
+  stats.sched_imbalance = sched.imbalance;
+  stats.max_worker_cpu_seconds =
+      sched.max_worker_cpu_seconds + table_build_cpu;
+  stats.cancelled = sched.cancelled;
 
   AvsWorkerStats merged;
   for (const AvsWorkerStats& s : worker_stats) merged.MergeFrom(s);
@@ -143,17 +151,15 @@ GenerateStats RunTyped(const TrillionGConfig& config,
   stats.table_scopes = merged.table_scopes;
   stats.table_edges = merged.table_edges;
   stats.generate_seconds = watch.ElapsedSeconds();
-  for (double cpu : worker_cpu) {
-    stats.max_worker_cpu_seconds = std::max(stats.max_worker_cpu_seconds, cpu);
-  }
   RecordAvsStats(merged);
   obs::GetGauge("avs.recvec_levels")
       ->Set(static_cast<double>(noise.levels()));
-  for (int w = 0; w < config.num_workers; ++w) {
-    obs::Registry& reg = obs::Registry::Global();
-    reg.MaxMachineStat(w, "peak_scope_bytes",
+  obs::Registry& reg = obs::Registry::Global();
+  for (int w = 0; w < num_workers; ++w) {
+    reg.MaxMachineStat(machine_of(w), "peak_scope_bytes",
                        static_cast<double>(worker_stats[w].peak_scope_bytes));
-    reg.MaxMachineStat(w, "cpu_seconds", worker_cpu[w]);
+    reg.MaxMachineStat(machine_of(w), "cpu_seconds",
+                       sched.worker_cpu_seconds[w]);
   }
   obs::SetCurrentPhase("idle");
   return stats;
@@ -161,23 +167,42 @@ GenerateStats RunTyped(const TrillionGConfig& config,
 
 }  // namespace
 
+GenerateStats RunGeneration(const TrillionGConfig& config,
+                            const model::NoiseVector& noise,
+                            const std::vector<VertexId>& boundaries,
+                            const RunTopology& topology,
+                            const SinkFactory& sink_factory) {
+  return config.precision == Precision::kDoubleDouble
+             ? RunTyped<numeric::DoubleDouble>(config, noise, boundaries,
+                                               topology, sink_factory)
+             : RunTyped<double>(config, noise, boundaries, topology,
+                                sink_factory);
+}
+
 GenerateStats Generate(const TrillionGConfig& config,
                        const SinkFactory& sink_factory) {
-  // The TG_FAULT_PLAN chaos hook: a run that did not wire an injector of its
-  // own still honors the environment plan (machine = worker index for the
-  // in-process driver). Keeps existing tests/benches usable as chaos tests.
-  if (config.fault_injector == nullptr) {
-    if (std::unique_ptr<fault::FaultInjector> env_injector =
-            fault::FaultInjector::FromEnvOrNull(config.num_workers)) {
-      TrillionGConfig armed = config;
-      armed.fault_injector = env_injector.get();
-      return Generate(armed, sink_factory);
+  TG_CHECK(config.num_workers >= 1);
+  Stopwatch watch;
+  const model::NoiseVector noise = MakeRunNoise(config);
+  obs::SetCurrentPhase("partition");
+  const std::vector<VertexId> boundaries = [&]() -> std::vector<VertexId> {
+    if (!config.precomputed_boundaries.empty()) {
+      TG_CHECK_MSG(static_cast<int>(config.precomputed_boundaries.size()) ==
+                       config.num_workers + 1,
+                   "precomputed_boundaries must hold num_workers + 1 entries");
+      return config.precomputed_boundaries;
     }
-  }
-  if (config.precision == Precision::kDoubleDouble) {
-    return RunTyped<numeric::DoubleDouble>(config, sink_factory);
-  }
-  return RunTyped<double>(config, sink_factory);
+    TG_SPAN("partition");
+    return PartitionByCdf(noise, config.num_workers);
+  }();
+  const double partition_seconds = watch.ElapsedSeconds();
+
+  RunTopology topology;
+  topology.budgets = {config.budget};
+  GenerateStats stats =
+      RunGeneration(config, noise, boundaries, topology, sink_factory);
+  stats.partition_seconds = partition_seconds;
+  return stats;
 }
 
 GenerateStats GenerateToSink(const TrillionGConfig& config, ScopeSink* sink) {

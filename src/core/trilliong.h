@@ -39,13 +39,14 @@ struct TrillionGConfig {
   double noise = 0.0;
   /// Root RNG seed; the whole run is deterministic given this.
   std::uint64_t rng_seed = 42;
-  /// Worker threads ("machines x threads" of the paper's cluster).
+  /// Worker threads ("machines x threads" of the paper's cluster). The
+  /// cluster driver takes the count from its SimCluster instead.
   int num_workers = 1;
   /// Work-stealing granularity: each worker's CDF-partitioned range is split
   /// into this many chunks of equal expected edge mass, and idle workers
   /// steal chunks from busy ones (src/core/scheduler.h). 1 restores the
   /// static one-range-per-worker schedule. Output is bit-identical for any
-  /// value. Ignored when num_workers == 1.
+  /// value.
   int chunks_per_worker = 16;
   Precision precision = Precision::kDouble;
   Direction direction = Direction::kOut;
@@ -54,30 +55,28 @@ struct TrillionGConfig {
   /// Reject edges (u, u) during generation (the Graph500 specification
   /// discards self-loops; RMAT-family models allow them by default).
   bool exclude_self_loops = false;
-  /// Optional per-machine memory cap; OomError propagates to the caller.
+  /// Optional memory cap shared by all workers; OomError propagates to the
+  /// caller. The cluster driver charges its per-machine budgets instead.
   MemoryBudget* budget = nullptr;
 
   /// Optional fault injector (not owned) consulted at every chunk boundary;
-  /// see src/fault/. Setting it forces the work-stealing scheduler path even
-  /// for num_workers == 1, because recovery and resume live there. When left
-  /// null, Generate() arms one from TG_FAULT_PLAN if that variable is set —
-  /// the chaos CI hook, mirroring TG_CHUNKS_PER_WORKER.
+  /// see src/fault/. When null: a cluster run's SimCluster's, else one armed
+  /// from TG_FAULT_PLAN if that is set (the chaos CI hook).
   fault::FaultInjector* fault_injector = nullptr;
   /// Resume support: per worker range, the next chunk seq still to commit
   /// (all earlier chunks were journaled as durable by an interrupted
-  /// process). Empty for a fresh run; non-empty forces the scheduler path.
+  /// process). Empty for a fresh run.
   std::vector<std::uint32_t> resume_next_seq;
   /// Called under the range commit lock after each chunk's scopes reach the
   /// sink (SchedulerOptions::on_chunk_commit). gen_cli checkpoints writers
-  /// and appends to the chunk-commit journal here. Non-null forces the
-  /// scheduler path.
+  /// and appends to the chunk-commit journal here.
   std::function<void(const Chunk&, ScopeSink*)> chunk_commit_hook;
 
   /// Cooperative cancellation flag (not owned), observed at chunk
   /// boundaries: once true, no further chunks are taken and Generate
-  /// returns with GenerateStats::cancelled set. Non-null forces the
-  /// scheduler path even for one worker, so the committed prefix is exactly
-  /// what an uncancelled run would have committed (bit-identical resume).
+  /// returns with GenerateStats::cancelled set. The committed prefix is
+  /// exactly what an uncancelled run would have committed (bit-identical
+  /// resume).
   const std::atomic<bool>* cancel_flag = nullptr;
 
   /// Precomputed worker-range boundaries (size num_workers + 1), exactly
@@ -94,8 +93,8 @@ struct TrillionGConfig {
   const AvsPrefixTables* shared_prefix_tables = nullptr;
 
   /// Worker-thread executor override (SchedulerOptions::worker_runner):
-  /// null spawns one thread per worker; the serve daemon injects its shared
-  /// persistent pool. Non-null forces the scheduler path.
+  /// null spawns one thread per worker (a lone worker runs on the calling
+  /// thread); the serve daemon injects its shared persistent pool.
   std::function<void(std::vector<std::function<void()>>&)> worker_runner;
 
   std::uint64_t NumVertices() const { return std::uint64_t{1} << scale; }
@@ -117,7 +116,8 @@ struct GenerateStats {
   std::uint64_t num_edges = 0;
   std::uint64_t num_scopes = 0;
   std::uint64_t max_degree = 0;
-  /// Peak per-scope working set over all workers — the O(d_max) bytes.
+  /// Peak per-scope working set over all workers — the O(d_max) bytes. Not
+  /// counted: chunk output held for reordering (ChunkBuffer).
   std::uint64_t peak_scope_bytes = 0;
   std::uint64_t rec_vec_builds = 0;
   /// CDF inversions attempted, counting rejection-loop retries.
@@ -130,12 +130,12 @@ struct GenerateStats {
   double partition_seconds = 0.0;
   /// Wall-clock of the generation phase on this host.
   double generate_seconds = 0.0;
-  /// Maximum per-worker CPU time: the simulated parallel wall-clock when
-  /// every worker has its own core (used by the cluster-comparison benches
-  /// on oversubscribed hosts).
+  /// Maximum per-worker CPU time plus the prefix-table build's: the
+  /// simulated parallel wall-clock when every worker has its own core (used
+  /// by the cluster-comparison benches on oversubscribed hosts).
   double max_worker_cpu_seconds = 0.0;
-  /// Work-stealing scheduler observations (all zero / 1.0 when the static
-  /// single-range path ran, i.e. num_workers == 1 or chunks_per_worker == 1).
+  /// Work-stealing scheduler observations; sched_chunks is num_workers *
+  /// chunks_per_worker for a full fresh run.
   std::uint64_t sched_chunks = 0;
   std::uint64_t sched_steals = 0;
   /// Chunks re-executed on surviving machines after an injected crash.
@@ -161,8 +161,35 @@ GenerateStats Generate(const TrillionGConfig& config,
                        const SinkFactory& sink_factory);
 
 /// Convenience: generation into a single caller-provided sink; only valid
-/// with num_workers == 1.
+/// with num_workers == 1. Without a worker_runner, every scope reaches the
+/// sink on the calling thread; Finish() is left to the caller.
 GenerateStats GenerateToSink(const TrillionGConfig& config, ScopeSink* sink);
+
+/// What differs between drivers of a generation run. Generate() runs every
+/// worker in one domain on config.budget; GenerateOnCluster() gives each
+/// simulated machine its own domain and budget.
+struct RunTopology {
+  /// Steal domain of each worker (SchedulerOptions::steal_domain), also its
+  /// machine and its index into `budgets`. Empty: one domain.
+  std::vector<int> steal_domain;
+  /// One budget (may be null) per domain, each charged the run's prefix
+  /// tables once unless config.shared_prefix_tables supplies them.
+  std::vector<MemoryBudget*> budgets = {nullptr};
+  /// Injector used when config.fault_injector is null (not owned).
+  fault::FaultInjector* default_injector = nullptr;
+};
+
+/// The generation step of every driver (Algorithm 4, no shuffle): worker w
+/// generates [boundaries[w], boundaries[w + 1]) into its own sink through
+/// RunWorkStealing. `noise` is MakeRunNoise(config); the topology replaces
+/// config.num_workers and config.budget. A null config.fault_injector falls
+/// back to the topology's, then to TG_FAULT_PLAN over its machines. Leaves
+/// partition_seconds to the caller.
+GenerateStats RunGeneration(const TrillionGConfig& config,
+                            const model::NoiseVector& noise,
+                            const std::vector<VertexId>& boundaries,
+                            const RunTopology& topology,
+                            const SinkFactory& sink_factory);
 
 /// The per-level noise vector a Generate() run over `config` would build
 /// (AVS-I transposes the seed; NSKG perturbs from the run's dedicated RNG

@@ -586,9 +586,10 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
   req->cv.notify_all();
   streamer.join();
 
-  // A request that streamed every byte completed, even if Stop() flipped its
-  // cancel flag after the fact; one whose stream aborted was cancelled.
-  const bool cancelled = !failed && (stats.cancelled || !req->streamed_all);
+  // A request that streamed every byte completed (the streamer recorded it),
+  // even if Stop() flipped its cancel flag after the fact; one whose stream
+  // aborted was cancelled.
+  const bool cancelled = !failed && !req->streamed_all;
   const double request_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - req->accept_time)
@@ -601,13 +602,6 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
   } else if (cancelled) {
     obs::GetCounter("serve.cancelled")->Add(1);
     RecordServeEvent("serve.cancel", req->id, req->gen.tenant);
-  } else {
-    obs::GetCounter("serve.completed")->Add(1);
-    obs::GetCounter("serve.tenant." + req->gen.tenant + ".bytes_streamed")
-        ->Add(req->bytes_streamed);
-    RecordServeEvent("serve.done", req->id,
-                     req->gen.tenant + " bytes=" +
-                         std::to_string(req->bytes_streamed));
   }
 
   for (int w = 0; w < req->gen.workers; ++w) {
@@ -740,6 +734,15 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
     if (file != nullptr) std::fclose(file);
   }
 
+  // Every shard streamed after a clean finish: the request completed.
+  // Recorded before the close, so a client that has seen its whole response
+  // also sees it counted.
+  obs::GetCounter("serve.completed")->Add(1);
+  obs::GetCounter("serve.tenant." + req->gen.tenant + ".bytes_streamed")
+      ->Add(req->bytes_streamed);
+  RecordServeEvent("serve.done", req->id,
+                   req->gen.tenant + " bytes=" +
+                       std::to_string(req->bytes_streamed));
   req->streamed_all = true;
   server_.CloseChannel(channel, /*graceful=*/true);
 }

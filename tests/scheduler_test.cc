@@ -174,6 +174,35 @@ TEST(SchedulerTest, SkewedSeedStealsAndStaysOrdered) {
   EXPECT_EQ(HashEdges(merged), reference);
 }
 
+TEST(SchedulerTest, OneWorkerRunsTheSchedulerOnTheCallingThread) {
+  // A single worker with no hooks still goes through the chunked engine,
+  // and the lone worker runs inline: every scope reaches the sink on the
+  // caller's thread (the GenerateToSink contract).
+  TrillionGConfig config;
+  config.scale = 10;
+  config.edge_factor = 8;
+  config.num_workers = 1;
+  config.chunks_per_worker = 5;
+  EXPECT_EQ(RunMerged(config).stats.sched_chunks, 5u);
+
+  class ThreadCheckingSink : public ScopeSink {
+   public:
+    void ConsumeScope(VertexId, const VertexId*, std::size_t) override {
+      ++scopes;
+      if (std::this_thread::get_id() != caller) ++off_thread;
+    }
+    const std::thread::id caller = std::this_thread::get_id();
+    std::uint64_t scopes = 0;
+    std::uint64_t off_thread = 0;
+  };
+  ThreadCheckingSink sink;
+  const GenerateStats stats = GenerateToSink(config, &sink);
+  EXPECT_EQ(stats.sched_chunks, 5u);
+  EXPECT_GT(sink.scopes, 0u);
+  EXPECT_EQ(sink.scopes, stats.num_scopes);
+  EXPECT_EQ(sink.off_thread, 0u);
+}
+
 TEST(SchedulerTest, EngineStealsFromBusyWorkerAndCommitsInOrder) {
   // Direct engine test with controlled chunk bodies: worker 0 owns every
   // chunk and each chunk takes ~10ms, so workers 1..3 start empty and must
@@ -205,6 +234,30 @@ TEST(SchedulerTest, EngineStealsFromBusyWorkerAndCommitsInOrder) {
   // VectorSink asserted ascending order on every ConsumeScope; all chunks
   // must have landed.
   EXPECT_EQ(sink.scopes().size(), static_cast<std::size_t>(kChunks));
+}
+
+TEST(SchedulerTest, NextInOrderChunkStreamsAndOthersWaitForIt) {
+  // One worker whose deque holds seq 1 before seq 0: seq 1 runs ahead of the
+  // commit point and must be held back; seq 0 is next in order and reaches
+  // the sink while its body is still running.
+  std::vector<std::vector<Chunk>> queues(1);
+  queues[0].push_back(Chunk{0, 1, 1, 2});
+  queues[0].push_back(Chunk{0, 0, 0, 1});
+  VectorSink sink;
+  std::vector<ScopeSink*> sinks = {&sink};
+  std::map<std::uint32_t, std::size_t> seen_during_body;
+  auto make_worker = [&](int) -> ChunkFn {
+    return [&](const Chunk& c, ChunkBuffer* buffer) {
+      VertexId v = c.lo;
+      buffer->ConsumeScope(c.lo, &v, 1);
+      seen_during_body[c.seq] = sink.scopes().count(c.lo);
+    };
+  };
+  RunWorkStealing(queues, sinks, make_worker);
+  EXPECT_EQ(seen_during_body[0], 1u);
+  EXPECT_EQ(seen_during_body[1], 0u);
+  EXPECT_EQ(sink.scopes().size(), 2u);
+  EXPECT_EQ(sink.finishes(), 1);
 }
 
 TEST(SchedulerTest, StealDomainsConfineThieves) {
